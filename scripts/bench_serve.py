@@ -340,9 +340,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.policies import DEFAULT_POLICIES
-    from repro.serve.gateway import install_uvloop
-
-    uvloop_active = install_uvloop()
 
     admission = {
         spec: bench_admission(spec, args.decisions, args.population)
@@ -355,7 +352,6 @@ def main(argv=None) -> int:
         "shed": bench_shed(args.shed_burst),
         "router": bench_router(args.router_burst),
         "python": platform.python_version(),
-        "uvloop": uvloop_active,
     }
     if not args.skip_live:
         payload["live"] = bench_live(args.time_scale)

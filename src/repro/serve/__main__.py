@@ -517,9 +517,6 @@ def main(argv=None) -> int:
     elif not tokens:
         tokens = ["live-shootout"]
     args = parser.parse_args(tokens)
-    from repro.serve.gateway import install_uvloop
-
-    install_uvloop()  # optional: a no-op when uvloop is absent
     if args.command == "live-shootout":
         return _cmd_live_shootout(args)
     if args.command == "chaos-shootout":

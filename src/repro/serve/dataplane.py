@@ -217,23 +217,29 @@ class LiveBufferPool:
         return self.cache.hits / consulted if consulted else 0.0
 
 
-class _DiskWaiter:
-    """One chunk waiting for a disk arm: the ED-heap entry payload.
+class FutureWaiter:
+    """An awaiting coroutine's entry in a disk or worker-gate queue.
 
-    Exposes the two attributes :meth:`DeviceCore.select` reads --
-    ``cancelled`` (expired waiters are skipped and dropped) and
-    ``cylinder`` (the elevator tie-break key).
+    Queue entries expose ``cancelled`` (expired waiters are skipped and
+    dropped), ``cylinder`` (the disk's elevator tie-break key) and
+    :meth:`resume` (the releasing holder hands the arm or slot over).
+    The gateway's paced drive steps queue themselves with the same
+    three attributes; this one wraps a future for the awaitable
+    ``acquire`` surface.
     """
 
     __slots__ = ("future", "cylinder")
 
-    def __init__(self, future: asyncio.Future, cylinder: int):
+    def __init__(self, future: asyncio.Future):
         self.future = future
-        self.cylinder = cylinder
+        self.cylinder = 0
 
     @property
     def cancelled(self) -> bool:
         return self.future.cancelled()
+
+    def resume(self) -> None:
+        self.future.set_result(None)
 
 
 class LiveDisk:
@@ -266,7 +272,7 @@ class LiveDisk:
         #: instead of queueing; the no-fault path never sets it.
         self.faulted = False
         self._busy = False
-        self._queue: List[Tuple[float, int, _DiskWaiter]] = []
+        self._queue: List[Tuple[float, int, object]] = []
         self._seq = 0
         # -- conservation counters -------------------------------------
         self.chunks_submitted = 0
@@ -322,21 +328,31 @@ class LiveDisk:
         """Live waiters (excluding any chunk in service)."""
         return sum(1 for entry in self._queue if not entry[2].cancelled)
 
-    async def acquire(self, priority: float = 0.0, cylinder: int = 0) -> float:
-        """Join the ED queue; returns the wall seconds spent waiting.
+    def take(self, waiter, priority: float, cylinder: int) -> bool:
+        """Claim the arm for ``waiter``, or queue it in ED order.
 
-        ``priority`` is the chunk's deadline (smaller = more urgent),
-        ``cylinder`` its first access's cylinder for the elevator
-        tie-break among equal deadlines.
+        Returns ``True`` when the arm was free and is now held;
+        otherwise the waiter is queued and :meth:`release` resumes it
+        when the arm is handed over.  ``priority`` is the chunk's
+        deadline (smaller = more urgent), ``cylinder`` its first
+        access's cylinder for the elevator tie-break among equal
+        deadlines.
         """
         self.chunks_submitted += 1
         if not self._busy:
             self._busy = True
-            return 0.0
-        loop = asyncio.get_running_loop()
-        waiter = _DiskWaiter(loop.create_future(), cylinder)
+            return True
+        waiter.cylinder = cylinder
         self._seq += 1
         heapq.heappush(self._queue, (priority, self._seq, waiter))
+        return False
+
+    async def acquire(self, priority: float = 0.0, cylinder: int = 0) -> float:
+        """Join the ED queue; returns the wall seconds spent waiting."""
+        loop = asyncio.get_running_loop()
+        waiter = FutureWaiter(loop.create_future())
+        if self.take(waiter, priority, cylinder):
+            return 0.0
         started = loop.time()
         try:
             await waiter.future  # the releasing holder hands the arm over
@@ -356,7 +372,16 @@ class LiveDisk:
         if waiter is None:
             self._busy = False
         else:
-            waiter.future.set_result(None)
+            waiter.resume()
+
+    def release_cancelled(self) -> None:
+        """Free the arm of an aborted chunk whose service time is up.
+
+        The chunk counts as in service until here, so the conservation
+        law holds at every instant, not only at quiescence.
+        """
+        self.chunks_cancelled += 1
+        self.release()
 
 
 class PageStore:

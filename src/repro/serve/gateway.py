@@ -43,10 +43,12 @@ seconds of wall clock.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time as _time
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.core.broker import BrokerTrace, MemoryBroker
 from repro.policies.base import BatchStats, DepartureRecord, MemoryPolicy
@@ -56,6 +58,7 @@ from repro.queries.cost_model import StandAloneCostModel
 from repro.queries.requests import AllocationWait, CPUBurst, DiskAccess, READ
 from repro.rtdbs.config import SimulationConfig
 from repro.serve.dataplane import (
+    FutureWaiter,
     GrantLeakError,
     LiveBufferPool,
     LiveDataPlane,
@@ -87,6 +90,14 @@ SHED = "shed"
 #: repaid by the next chunk instead of compounding over a replay.
 MIN_SLEEP = 0.001
 
+#: Yielded by a drive step that queued itself on a disk arm, a worker
+#: slot or its grant: the handover resumes it, no timer does.
+PARKED = None
+
+#: Sleepers due within the clock's resolution run in the current pass,
+#: as the event loop treats its own timers.
+_CLOCK_RESOLUTION = _time.get_clock_info("monotonic").resolution
+
 
 def _quantize(seconds: float) -> float:
     """Floor a sleep request to a whole-millisecond quantum.
@@ -98,22 +109,6 @@ def _quantize(seconds: float) -> float:
     instead of being rounded up by the kernel on every chunk.
     """
     return int(seconds * 1000.0) * 0.001
-
-
-def install_uvloop() -> bool:
-    """Install uvloop's event-loop policy when the package is present.
-
-    uvloop's timers and wakeups are several times cheaper than the
-    stdlib loop's, which compounds over the thousands of paced chunks
-    in a live replay.  Purely optional: returns ``False`` (a no-op)
-    when uvloop is not installed.
-    """
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
 
 
 class PriorityWorkerGate:
@@ -138,22 +133,32 @@ class PriorityWorkerGate:
         if slots < 1:
             raise ValueError(f"need at least one worker slot, got {slots}")
         self._free = slots
-        self._waiters: List[tuple] = []  # heap of (priority, seq, future)
+        self._waiters: List[tuple] = []  # heap of (priority, seq, waiter)
         self._seq = 0
         self._pending = 0  # slots released but not yet flushed
         self._flush_scheduled = False
 
-    async def acquire(self, priority: float) -> None:
+    def take(self, waiter, priority: float) -> bool:
+        """Claim a slot for ``waiter``, or queue it in ED order.
+
+        Returns ``True`` when a slot was free and is now held;
+        otherwise a later flush resumes the waiter with the slot.
+        """
         if self._free > 0 and not self._waiters:
             self._free -= 1
-            return
-        future = asyncio.get_running_loop().create_future()
+            return True
         self._seq += 1
-        heappush(self._waiters, (priority, self._seq, future))
+        heappush(self._waiters, (priority, self._seq, waiter))
+        return False
+
+    async def acquire(self, priority: float) -> None:
+        waiter = FutureWaiter(asyncio.get_running_loop().create_future())
+        if self.take(waiter, priority):
+            return
         try:
-            await future  # a flushed slot is handed over here
+            await waiter.future  # a flushed slot is handed over here
         except asyncio.CancelledError:
-            if future.done() and not future.cancelled():
+            if waiter.future.done() and not waiter.future.cancelled():
                 # The slot was handed over in the same loop pass the
                 # expiry cancelled us: give it back or it leaks.
                 self.release()
@@ -171,11 +176,152 @@ class PriorityWorkerGate:
         self._pending = 0
         waiters = self._waiters
         while free > 0 and waiters:
-            _priority, _seq, future = heappop(waiters)
-            if not future.done():  # skip waiters cancelled by expiry
-                future.set_result(None)
+            waiter = heappop(waiters)[2]
+            if not waiter.cancelled:  # skip waiters aborted by expiry
+                waiter.resume()
                 free -= 1
         self._free = free
+
+
+class PacedStep:
+    """One running query's drive generator, as the :class:`Pacer` and
+    the disk and worker-gate queues see it.
+
+    It is the query's queue entry on every disk arm and gate slot it
+    waits for: ``cancelled`` and ``cylinder`` are what
+    :meth:`~repro.core.devices.DeviceCore.select` reads, and
+    :meth:`resume` is how a releasing holder hands the arm or slot
+    over.  ``resumed`` stays set from that handover until the pacer
+    steps the generator, so an abort in between knows to pass the
+    resource on.  Each step runs in ``context``, a copy of the query
+    task's context, so context variables set around the task (a
+    tracer's query id and parent span) still hold inside the drive.
+    """
+
+    __slots__ = (
+        "pacer", "priority", "gen", "context", "done",
+        "cylinder", "cancelled", "resumed",
+    )
+
+    def __init__(self, pacer: "Pacer", priority: float, done: asyncio.Future):
+        self.pacer = pacer
+        #: The query's deadline: its ED key on every queue.
+        self.priority = priority
+        self.gen = None
+        self.context = contextvars.copy_context()
+        #: Resolved by the pacer when the generator ends (or raises).
+        self.done = done
+        self.cylinder = 0
+        self.cancelled = False
+        self.resumed = False
+
+    def resume(self) -> None:
+        self.pacer.resume(self)
+
+
+class Pacer:
+    """Steps every running query's drive generator on one timer heap.
+
+    A drive step yields either the wall time to sleep until (the end of
+    a paced service chunk, or a fault-retry backoff) or :data:`PARKED`
+    after queueing itself on a disk arm, a worker-gate slot or its
+    grant; the handover (:meth:`resume`) puts a parked step on the
+    ready queue.  Sleepers wait in a heap of ``(wake, seq, step)``
+    behind one re-armed ``loop.call_at``, and each step reads the clock
+    once (:attr:`now`) -- a future plus a timer handle per 1 ms chunk
+    cost more CPU than the work being paced.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self._loop = loop
+        self._clock = loop.time
+        self._heap: List[Tuple[float, int, PacedStep]] = []
+        self._ready: Deque[PacedStep] = deque()
+        self._seq = 0
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_when = 0.0
+        self._passing = False
+        self._soon = False
+        #: The clock as read for the step being run.
+        self.now = loop.time()
+
+    def start(self, drive, job: "LiveQuery") -> PacedStep:
+        """Create ``drive(job, step)`` and queue its first step."""
+        step = PacedStep(self, job.arrival.deadline, self._loop.create_future())
+        step.gen = drive(job, step)
+        self.resume(step)
+        return step
+
+    def resume(self, step: PacedStep) -> None:
+        """Queue a step to run in this pass, or in the next loop pass."""
+        step.resumed = True
+        self._ready.append(step)
+        if not self._passing and not self._soon:
+            self._soon = True
+            self._loop.call_soon(self._run)
+
+    def cancel(self, step: PacedStep) -> None:
+        """Abort a step for good.  Closing its generator runs the
+        ``GeneratorExit`` handlers, which free an arm or slot it was
+        handed but never used, and keep one in service until the
+        chunk's service time is up (non-preemptive service)."""
+        if step.cancelled:
+            return
+        step.cancelled = True
+        step.gen.close()
+
+    def close(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._heap.clear()
+        self._ready.clear()
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self._run()
+
+    def _run(self) -> None:
+        """Run every ready step and every sleeper that is due."""
+        self._soon = False
+        self._passing = True
+        ready, heap, clock = self._ready, self._heap, self._clock
+        try:
+            while True:
+                now = clock()
+                if ready:
+                    step = ready.popleft()
+                    step.resumed = False
+                elif heap and heap[0][0] <= now + _CLOCK_RESOLUTION:
+                    step = heappop(heap)[2]
+                else:
+                    break
+                if step.cancelled:
+                    continue
+                self.now = now
+                try:
+                    wake = step.context.run(next, step.gen)
+                except StopIteration:
+                    if not step.done.done():
+                        step.done.set_result(None)
+                    continue
+                except Exception as error:
+                    if not step.done.done():
+                        step.done.set_exception(error)
+                    continue
+                if wake is not PARKED:
+                    self._seq += 1
+                    heappush(heap, (wake, self._seq, step))
+        finally:
+            self._passing = False
+        if heap:
+            when = heap[0][0]
+            if self._timer is not None:
+                if when >= self._timer_when:
+                    return  # the armed timer fires first
+                self._timer.cancel()
+            self._timer = self._loop.call_at(when, self._on_timer)
+            self._timer_when = when
 
 
 @dataclass
@@ -191,6 +337,8 @@ class LiveQuery:
     submitted_wall: float = 0.0
     admitted_wall: Optional[float] = None
     task: Optional[asyncio.Task] = None
+    #: The paced drive, once the task has started it.
+    step: Optional[PacedStep] = None
     expiry: Optional[asyncio.TimerHandle] = None
 
 
@@ -380,6 +528,7 @@ class LiveGateway:
             else None
         )
         self._gate: Optional[PriorityWorkerGate] = None
+        self._pacer: Optional[Pacer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._reallocating = False
@@ -422,6 +571,7 @@ class LiveGateway:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._gate = PriorityWorkerGate(self.workers)
+        self._pacer = Pacer(self._loop)
         self._drained = asyncio.Event()
         self._drained.set()
         self._t0 = self._loop.time()
@@ -448,6 +598,8 @@ class LiveGateway:
                 and self._loop.time() < deadline
             ):
                 await asyncio.sleep(0.001)
+        if self._pacer is not None:
+            self._pacer.close()
         if self.allocator.reserved_pages:
             raise GrantLeakError(
                 f"gateway closed with {self.allocator.reserved_pages} pages "
@@ -458,9 +610,9 @@ class LiveGateway:
         """Abort every in-flight query, releasing grants and chunks.
 
         Runs on gateway failure and at close: each job's expiry timer
-        and task are cancelled (queued disk chunks unwind through the
-        non-preemptive cancel path) and its grant, temp extents, and
-        broker entry are released so the conservation ledger drains.
+        is cancelled and its drive stopped (:meth:`_stop`), and its
+        grant, temp extents, and broker entry are released so the
+        conservation ledger drains.
         """
         for job in list(self._jobs.values()):
             qid = job.arrival.qid
@@ -469,8 +621,7 @@ class LiveGateway:
             if job.expiry is not None:
                 job.expiry.cancel()
                 job.expiry = None
-            if job.task is not None:
-                job.task.cancel()
+            self._stop(job)
             job.state = ABORTED
             try:
                 job.operator.release_resources()
@@ -672,18 +823,16 @@ class LiveGateway:
     def cancel_query(self, qid: int) -> bool:
         """Abort one in-flight query whose client vanished.
 
-        The disconnect analogue of :meth:`_expire`: cancels the task
-        (queued chunks unwind through the non-preemptive path), departs
-        the query as missed, and releases its grant.  Returns ``False``
-        when the query already departed.
+        The disconnect analogue of :meth:`_expire`: stops the drive
+        (:meth:`_stop`), departs the query as missed, and releases its
+        grant.  Returns ``False`` when the query already departed.
         """
         job = self._jobs.get(qid)
         if job is None or job.state in (DONE, ABORTED):
             return False
         job.state = ABORTED
         self.report.client_cancels += 1
-        if job.task is not None:
-            job.task.cancel()
+        self._stop(job)
         try:
             self._depart(job, missed=True)
         except Exception as error:  # surface enforcement bugs via drain()
@@ -754,9 +903,11 @@ class LiveGateway:
     # execution
     # ------------------------------------------------------------------
     async def _run_query(self, job: LiveQuery) -> None:
+        step = job.step = self._pacer.start(self._drive, job)
         try:
-            await self._drive(job)
+            await step.done
         except asyncio.CancelledError:
+            self._pacer.cancel(step)  # no-op unless cancelled from outside
             return  # the expiry timer owns the departure
         except DiskFaultError:
             # The outage-survival path gave up on this query: a firm
@@ -787,8 +938,17 @@ class LiveGateway:
         except Exception as error:  # enforcement violation on departure
             self._fail(error)
 
-    async def _drive(self, job: LiveQuery) -> None:
+    def _drive(
+        self, job: LiveQuery, step: PacedStep
+    ) -> Generator[Optional[float], None, None]:
         """Execute the operator's request stream against the data plane.
+
+        A generator stepped by the gateway's :class:`Pacer`, the live
+        counterpart of the DES's ``QueryManager._drive``: it yields the
+        wall time a paced chunk ends (the pacer's timer heap wakes it
+        then) or :data:`PARKED` while it waits for a disk arm, a
+        worker slot or a grant change, and reads the time from
+        ``Pacer.now``.
 
         Disk accesses are priced by the shared
         :class:`~repro.core.devices.DeviceCore` -- the same seek /
@@ -836,7 +996,7 @@ class LiveGateway:
                     # runs (mirror of the DES buffer-hit path).
                     cpu_debt += request.cpu / cpu_rate * scale
                     if cpu_debt >= MIN_SLEEP:
-                        cpu_debt = await self._cpu_chunk(job, cpu_debt)
+                        cpu_debt = yield from self._cpu_chunk(step, cpu_debt)
                     continue
                 disk = disks[request.disk]
                 serving_index = request.disk
@@ -844,13 +1004,15 @@ class LiveGateway:
                     # Outage window: bounded retry within the deadline
                     # budget, then reroute or fail fast.  Raises
                     # DiskFaultError when the query is doomed.
-                    serving_index = await self._survive_disk_fault(job, request)
+                    serving_index = yield from self._survive_disk_fault(
+                        job, request
+                    )
                 # The per-block burst + "start an I/O" run on the CPU
                 # (overlapping other queries' disk service), exactly as
                 # the DES charges them -- prefetch hit or not.
                 cpu_debt += (request.cpu + start_io) / cpu_rate * scale
                 if cpu_debt >= MIN_SLEEP:
-                    cpu_debt = await self._cpu_chunk(job, cpu_debt)
+                    cpu_debt = yield from self._cpu_chunk(step, cpu_debt)
                 if serving_index == request.disk:
                     if request.kind == READ and disk.read_hit(
                         request.start_page, request.npages
@@ -884,15 +1046,15 @@ class LiveGateway:
                     )
                 )
                 if debt >= MIN_SLEEP:
-                    disk_debt[serving_index] = await self._disk_chunk(
-                        job, serving_index, debt, disk_ops.pop(serving_index)
+                    disk_debt[serving_index] = yield from self._disk_chunk(
+                        step, serving_index, debt, disk_ops.pop(serving_index)
                     )
                 else:
                     disk_debt[serving_index] = debt
             elif request_type is CPUBurst:
                 cpu_debt += request.instructions / cpu_rate * scale
                 if cpu_debt >= MIN_SLEEP:
-                    cpu_debt = await self._cpu_chunk(job, cpu_debt)
+                    cpu_debt = yield from self._cpu_chunk(step, cpu_debt)
             elif request_type is AllocationWait:
                 if job.grant.pages > 0:
                     continue  # raced with a re-grant: keep going
@@ -903,68 +1065,67 @@ class LiveGateway:
                 # overshoot, which compounds into spurious deadline
                 # misses at tight time scales.
                 # No award between here and the wait is possible: the
-                # check and the waiter registration share one loop pass.
-                wake = asyncio.Event()
-                job.grant.on_change(wake.set)
-                await wake.wait()
+                # check and the waiter registration share one step.
+                job.grant.on_change(step.resume)
+                yield PARKED
             else:  # pragma: no cover - operator contract violation
                 raise TypeError(f"unknown operator request {request!r}")
-        if cpu_debt > 0.0 or disk_ops:
-            await self._settle(job, cpu_debt, disk_debt, disk_ops)
-
-    async def _settle(
-        self,
-        job: LiveQuery,
-        cpu_debt: float,
-        disk_debt: Dict[int, float],
-        disk_ops: Dict[int, List[tuple]],
-    ) -> float:
-        """Pay every outstanding sub-chunk debt (end of the stream)."""
+        # End of the stream: pay every outstanding sub-chunk debt.
         if cpu_debt > 0.0:
-            cpu_debt = await self._cpu_chunk(job, cpu_debt)
+            yield from self._cpu_chunk(step, cpu_debt)
         for disk_index in list(disk_ops):
-            await self._disk_chunk(
-                job,
+            yield from self._disk_chunk(
+                step,
                 disk_index,
                 disk_debt.pop(disk_index, 0.0),
                 disk_ops.pop(disk_index),
             )
-        return cpu_debt
 
-    async def _cpu_chunk(self, job: LiveQuery, debt_wall: float) -> float:
+    def _cpu_chunk(
+        self, step: PacedStep, debt_wall: float
+    ) -> Generator[Optional[float], None, float]:
         """Occupy one ED-ordered worker-gate slot for the chunk.
 
-        The chunk sleeps inline on the event loop and returns its
-        pacing carry -- ``debt - wall actually elapsed``, usually a
-        small negative number -- which rides back into the query's
-        debt accumulator: timer overshoot self-corrects instead of
+        The chunk sleeps on the pacer's heap and returns its pacing
+        carry -- ``debt - wall actually elapsed``, usually a small
+        negative number -- which rides back into the query's debt
+        accumulator: timer overshoot self-corrects instead of
         compounding into inflated execution times over hundreds of
         chunks.  Service is non-preemptive: a deadline abort mid-chunk
-        cancels the awaiting task immediately, but the slot stays
-        occupied for the chunk's remaining service time.
+        stops the query immediately, but the slot stays occupied for
+        the chunk's remaining service time.
         """
         self._busy_seconds += debt_wall
-        await self._gate.acquire(job.arrival.deadline)
-        loop = self._loop
-        started = loop.time()
-        try:
-            await asyncio.sleep(_quantize(debt_wall))
-        except asyncio.CancelledError:
-            remaining = debt_wall - (loop.time() - started)
-            if remaining > 0.0:
-                loop.call_later(remaining, self._gate.release)
-            else:
-                self._gate.release()
-            raise
-        except BaseException:
-            self._gate.release()
-            raise
-        self._gate.release()
-        return debt_wall - (loop.time() - started)
+        gate = self._gate
+        if not gate.take(step, step.priority):
+            try:
+                yield PARKED  # a flushed slot is handed over here
+            except GeneratorExit:
+                if step.resumed:
+                    # The slot was handed over in the same loop pass
+                    # the expiry aborted us: give it back or it leaks.
+                    gate.release()
+                raise
+        pacer = self._pacer
+        started = pacer.now
+        quantum = _quantize(debt_wall)
+        if quantum > 0.0:
+            try:
+                yield started + quantum
+            except GeneratorExit:
+                loop = self._loop
+                remaining = debt_wall - (loop.time() - started)
+                if remaining > 0.0:
+                    loop.call_later(remaining, gate.release)
+                else:
+                    gate.release()
+                raise
+        gate.release()
+        return debt_wall - (pacer.now - started)
 
-    async def _disk_chunk(
-        self, job: LiveQuery, disk_index: int, debt_wall: float, ops: List[tuple]
-    ) -> float:
+    def _disk_chunk(
+        self, step: PacedStep, disk_index: int, debt_wall: float, ops: List[tuple]
+    ) -> Generator[Optional[float], None, float]:
         """Pay one disk's service chunk on its ED+elevator queue.
 
         The chunk waits behind every more urgent chunk (the contention
@@ -976,34 +1137,42 @@ class LiveGateway:
         query can hit them.  Returns the chunk's pacing carry.
         """
         disk = self.disks[disk_index]
-        await disk.acquire(job.arrival.deadline, disk.cylinder_of(ops[0][1]))
-        loop = self._loop
-        started = loop.time()
+        pacer = self._pacer
+        if not disk.take(step, step.priority, disk.cylinder_of(ops[0][1])):
+            asked = pacer.now
+            try:
+                yield PARKED  # the releasing holder hands the arm over
+            except GeneratorExit:
+                disk.chunks_cancelled += 1
+                if step.resumed:
+                    # The arm was handed over in the same loop pass the
+                    # expiry aborted us: pass it on or it leaks.
+                    disk.release()
+                raise
+            disk.queue_seconds += pacer.now - asked
+        started = pacer.now
         store = disk.store
         for kind, start_page, npages, _cacheable, _home in ops:
             if kind == READ:
                 store.replay_read(start_page, npages)
             else:
                 store.write_blank(start_page, npages)
-        try:
-            remaining = _quantize(debt_wall - (loop.time() - started))
-            if remaining > 0.0:
-                await asyncio.sleep(remaining)
-        except asyncio.CancelledError:
-            # Non-preemptive service, as on the DES disk: the abort
-            # cancels the query immediately, but the arm stays held
-            # until the chunk's service time is up -- releasing early
-            # would serve two chunks on one arm.
-            disk.chunks_cancelled += 1
-            left = debt_wall - (loop.time() - started)
-            if left > 0.0:
-                loop.call_later(left, disk.release)
-            else:
-                disk.release()
-            raise
-        except BaseException:
-            disk.release()
-            raise
+        quantum = _quantize(debt_wall)
+        if quantum > 0.0:
+            try:
+                yield started + quantum
+            except GeneratorExit:
+                # Non-preemptive service, as on the DES disk: the abort
+                # stops the query immediately, but the arm stays held
+                # until the chunk's service time is up -- releasing
+                # early would serve two chunks on one arm.
+                loop = self._loop
+                left = debt_wall - (loop.time() - started)
+                if left > 0.0:
+                    loop.call_later(left, disk.release_cancelled)
+                else:
+                    disk.release_cancelled()
+                raise
         if debt_wall > 0.0:
             disk.busy_seconds += debt_wall
         disk.accesses += len(ops)
@@ -1015,9 +1184,11 @@ class LiveGateway:
                 # still caches under the canonical address.
                 pool.install(home_disk, start_page, npages)
         disk.release()
-        return debt_wall - (loop.time() - started)
+        return debt_wall - (pacer.now - started)
 
-    async def _survive_disk_fault(self, job: LiveQuery, request) -> int:
+    def _survive_disk_fault(
+        self, job: LiveQuery, request: DiskAccess
+    ) -> Generator[Optional[float], None, int]:
         """Outage survival: bounded retry, then reroute or fail fast.
 
         Retries with exponential backoff while the firm deadline can
@@ -1032,14 +1203,14 @@ class LiveGateway:
         disk = self.disks[home]
         breaker = self._breakers[home]
         report = self.report
-        loop = self._loop
+        pacer = self._pacer
         deadline_wall = self._t0 + self._to_wall(job.arrival.deadline)
         attempt = 0
         while True:
             if not disk.faulted:
                 breaker.record_success()
                 return home
-            now = loop.time()
+            now = pacer.now
             if breaker.is_open(now):
                 if request.kind == READ and request.cacheable:
                     for index, candidate in enumerate(self.disks):
@@ -1068,7 +1239,7 @@ class LiveGateway:
                 )
             report.disk_retries += 1
             attempt += 1
-            await asyncio.sleep(backoff)
+            yield now + backoff
 
     # ------------------------------------------------------------------
     # departures
@@ -1078,12 +1249,23 @@ class LiveGateway:
         if job.state in (DONE, ABORTED):
             return
         job.state = ABORTED
-        if job.task is not None:
-            job.task.cancel()
+        self._stop(job)
         try:
             self._depart(job, missed=True)
         except Exception as error:  # callback context: surface via drain()
             self._fail(error)
+
+    def _stop(self, job: LiveQuery) -> None:
+        """Close the query's drive and end its task.
+
+        Closing the generator runs its ``GeneratorExit`` handlers: a
+        chunk in service keeps its arm or slot until its service time
+        is up, and one handed over but not yet used is passed on.
+        """
+        if job.step is not None:
+            self._pacer.cancel(job.step)
+        if job.task is not None:
+            job.task.cancel()
 
     def _depart(self, job: LiveQuery, missed: bool) -> None:
         qid = job.arrival.qid

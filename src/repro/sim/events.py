@@ -195,8 +195,3 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0 and not self.triggered:
             self.succeed([child.value for child in self._events])
-
-
-def _type_check_callback(callback: Optional[Callable]) -> None:
-    if callback is not None and not callable(callback):
-        raise TypeError(f"callback must be callable, got {callback!r}")

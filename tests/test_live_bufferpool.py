@@ -4,12 +4,14 @@ ED+elevator scheduling and chunk conservation under concurrent access,
 and determinism of the multi-tenant live shootout at a fixed seed."""
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.broker import MemoryBroker
 from repro.policies import make_policy
 from repro.rtdbs.config import ResourceParams
+from repro.queries.requests import WRITE
 from repro.rtdbs.invariants import InvariantChecker, InvariantViolation
 from repro.serve.dataplane import (
     GrantOversubscribedError,
@@ -302,6 +304,180 @@ def test_gateway_run_conserves_disk_chunks():
         assert disk.chunks_submitted == disk.chunks_served + disk.chunks_cancelled
     assert report.pool_hits + report.pool_misses > 0
     assert report.disk_busy and sum(report.disk_busy) > 0.0
+
+
+# ----------------------------------------------------------------------
+# paced drive steps on the disk queues
+# ----------------------------------------------------------------------
+def paced_gateway():
+    from repro.scenarios import ScenarioGenerator
+    from repro.serve.gateway import LiveGateway
+
+    config = ScenarioGenerator(0).generate("mix", 0).config
+    return LiveGateway(config, "minmax", time_scale=0.01)
+
+
+def start_disk_chunk(gateway, log, tag, priority, service, page=0):
+    """Start one paced step that pays a single disk-0 chunk of
+    ``service`` wall seconds (first page ``page``) and logs
+    ``(tag, end time)`` when the chunk completes."""
+
+    def drive(_job, step):
+        yield from gateway._disk_chunk(step, 0, service, [(WRITE, page, 1, False, 0)])
+        log.append((tag, gateway._pacer.now))
+
+    job = SimpleNamespace(arrival=SimpleNamespace(deadline=priority))
+    return gateway._pacer.start(drive, job)
+
+
+def assert_disk_conserved(disk):
+    assert disk.chunks_submitted == (
+        disk.chunks_served
+        + disk.chunks_cancelled
+        + disk.queue_depth
+        + int(disk.in_service)
+    )
+
+
+def test_step_aborted_mid_chunk_holds_the_arm_until_service_ends():
+    """Non-preemptive service: closing a step mid-chunk keeps the arm
+    busy for the chunk's remaining service time, then the most urgent
+    waiter gets it."""
+
+    async def scenario():
+        gateway = paced_gateway()
+        await gateway.start()
+        loop = asyncio.get_running_loop()
+        disk = gateway.disks[0]
+        log = []
+        holder = start_disk_chunk(gateway, log, "holder", 5.0, 0.05)
+        await asyncio.sleep(0.005)  # the holder is in service
+        waiters = [
+            start_disk_chunk(gateway, log, tag, priority, 0.002)
+            for tag, priority in (("patient", 30.0), ("urgent", 1.0))
+        ]
+        await asyncio.sleep(0.005)  # both queue behind the held arm
+        assert disk.queue_depth == 2
+        aborted_at = loop.time()
+        gateway._pacer.cancel(holder)
+        assert disk.in_service  # the arm is not freed by the abort
+        assert disk.chunks_cancelled == 0  # until its service time is up
+        assert_disk_conserved(disk)
+        await asyncio.wait_for(
+            asyncio.gather(*(step.done for step in waiters)), timeout=5.0
+        )
+        await gateway.close()
+        return disk, log, aborted_at
+
+    disk, log, aborted_at = asyncio.run(scenario())
+    assert [tag for tag, _end in log] == ["urgent", "patient"]
+    # The holder was ~10 ms into its 50 ms chunk: the arm stayed held
+    # for the ~40 ms left before "urgent" could be served.
+    assert log[0][1] - aborted_at >= 0.035
+    assert disk.chunks_served == 2
+    assert disk.chunks_cancelled == 1
+    assert disk.queue_depth == 0 and not disk.in_service
+    assert_disk_conserved(disk)
+
+
+def test_step_aborted_in_its_handover_pass_passes_the_arm_on():
+    """A step closed in the same loop pass the arm is handed to it must
+    pass the arm to the next waiter, not leak it."""
+
+    async def scenario():
+        gateway = paced_gateway()
+        await gateway.start()
+        disk = gateway.disks[0]
+        log = []
+        await disk.acquire(1.0)  # an awaiting holder occupies the arm
+        doomed = start_disk_chunk(gateway, log, "doomed", 2.0, 0.001)
+        survivor = start_disk_chunk(gateway, log, "survivor", 3.0, 0.001)
+        await asyncio.sleep(0.002)  # both steps park on the queue
+        disk.release()  # hands the arm to the doomed step...
+        assert doomed.resumed
+        gateway._pacer.cancel(doomed)  # ...which is closed before it runs
+        await asyncio.wait_for(survivor.done, timeout=5.0)
+        # The arm must be free again.
+        await asyncio.wait_for(disk.acquire(), timeout=1.0)
+        disk.release()
+        await gateway.close()
+        return disk, log
+
+    disk, log = asyncio.run(scenario())
+    assert [tag for tag, _end in log] == ["survivor"]
+    assert disk.chunks_submitted == 4
+    assert disk.chunks_cancelled == 1
+    assert disk.chunks_served == 1
+    assert disk.queue_depth == 0 and not disk.in_service
+
+
+def test_step_waiters_follow_ed_order_with_elevator_tie_break():
+    async def scenario():
+        gateway = paced_gateway()
+        await gateway.start()
+        disk = gateway.disks[0]
+        head = disk.core.head
+        cyl_size = disk.core._cylinder_size
+        log = []
+        await disk.acquire(0.5)  # hold the arm while the queue builds
+        steps = [
+            start_disk_chunk(gateway, log, tag, priority, 0.001, cylinder * cyl_size)
+            for tag, priority, cylinder in (
+                ("patient", 30.0, head),
+                ("far-ahead", 7.0, head + 40),
+                ("behind", 7.0, head - 10),
+                ("urgent", 1.0, head + 90),
+                ("near-ahead", 7.0, head + 4),
+            )
+        ]
+        await asyncio.sleep(0.002)  # every step parks on the queue
+        assert disk.queue_depth == 5
+        disk.release()
+        await asyncio.wait_for(
+            asyncio.gather(*(step.done for step in steps)), timeout=5.0
+        )
+        await gateway.close()
+        return log
+
+    order = [tag for tag, _end in asyncio.run(scenario())]
+    assert order == ["urgent", "near-ahead", "far-ahead", "behind", "patient"]
+
+
+def test_expiry_storm_conserves_disk_chunks():
+    """Expire every query at once while chunks are queued and in
+    service: each disk still accounts for every chunk submitted."""
+    from repro.serve.workload import build_schedule
+
+    async def scenario():
+        gateway = paced_gateway()
+        schedule = build_schedule(
+            gateway.config, gateway.dataplane.database, max_arrivals=40
+        )
+        await gateway.start()
+        loop = asyncio.get_running_loop()
+        for arrival in schedule.arrivals:  # all at once: heavy queueing
+            gateway.submit(arrival)
+        await asyncio.sleep(0.03)
+        busy = [disk for disk in gateway.disks if disk.in_service]
+        queued = sum(disk.queue_depth for disk in gateway.disks)
+        for job in list(gateway._jobs.values()):
+            gateway._expire(job)
+        for disk in gateway.disks:
+            assert_disk_conserved(disk)
+        deadline = loop.time() + 1.0
+        while any(d.in_service for d in gateway.disks) and loop.time() < deadline:
+            await asyncio.sleep(0.001)
+        await gateway.close()
+        return gateway, busy, queued
+
+    gateway, busy, queued = asyncio.run(scenario())
+    assert busy and queued  # the storm hit chunks in service and queued
+    assert gateway.report.served == 40  # every query departed
+    assert gateway.report.missed >= 30  # most of them by the storm
+    assert gateway.allocator.reserved_pages == 0
+    for disk in gateway.disks:
+        assert disk.queue_depth == 0 and not disk.in_service
+        assert_disk_conserved(disk)
 
 
 # ----------------------------------------------------------------------

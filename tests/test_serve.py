@@ -3,6 +3,7 @@ the simulator, the asyncio gateway end to end, and the TCP server."""
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,6 +148,112 @@ def test_priority_gate_recovers_slot_from_cancelled_handoff():
         return True
 
     assert asyncio.run(scenario())
+
+
+def one_worker_gateway():
+    return LiveGateway(scenario_config(), "minmax", time_scale=0.01, workers=1)
+
+
+def start_cpu_chunk(gateway, log, tag, priority, service):
+    """Start one paced step that pays a single CPU chunk of ``service``
+    wall seconds on the worker gate, logging ``(tag, end time)``."""
+
+    def drive(_job, step):
+        yield from gateway._cpu_chunk(step, service)
+        log.append((tag, gateway._pacer.now))
+
+    job = SimpleNamespace(arrival=SimpleNamespace(deadline=priority))
+    return gateway._pacer.start(drive, job)
+
+
+def test_step_aborted_mid_chunk_holds_its_slot_until_service_ends():
+    """Non-preemptive CPU service: a step closed mid-chunk keeps its
+    worker slot for the chunk's remaining time, then the most urgent
+    waiting step gets it."""
+
+    async def scenario():
+        gateway = one_worker_gateway()
+        await gateway.start()
+        loop = asyncio.get_running_loop()
+        log = []
+        holder = start_cpu_chunk(gateway, log, "holder", 5.0, 0.05)
+        await asyncio.sleep(0.005)  # the holder occupies the only slot
+        waiters = [
+            start_cpu_chunk(gateway, log, tag, priority, 0.002)
+            for tag, priority in (("patient", 30.0), ("urgent", 1.0))
+        ]
+        await asyncio.sleep(0.005)  # both park on the gate
+        aborted_at = loop.time()
+        gateway._pacer.cancel(holder)
+        await asyncio.wait_for(
+            asyncio.gather(*(step.done for step in waiters)), timeout=5.0
+        )
+        # Every slot is back: a fresh acquire does not wait.
+        await asyncio.wait_for(gateway._gate.acquire(1.0), timeout=1.0)
+        gateway._gate.release()
+        await gateway.close()
+        return log, aborted_at
+
+    log, aborted_at = asyncio.run(scenario())
+    assert [tag for tag, _end in log] == ["urgent", "patient"]
+    # ~40 ms of the holder's chunk were left when it was aborted.
+    assert log[0][1] - aborted_at >= 0.035
+
+
+def test_step_aborted_in_its_handover_pass_passes_the_slot_on():
+    """A step closed in the loop pass whose flush hands it the slot
+    must give the slot back, not leak it."""
+
+    async def scenario():
+        gateway = one_worker_gateway()
+        await gateway.start()
+        gate = gateway._gate
+        log = []
+        await gate.acquire(1.0)  # an awaiting holder takes the slot
+        doomed = start_cpu_chunk(gateway, log, "doomed", 2.0, 0.001)
+        survivor = start_cpu_chunk(gateway, log, "survivor", 3.0, 0.001)
+        await asyncio.sleep(0.002)  # both steps park on the gate
+        handed_over = []
+
+        def abort():
+            handed_over.append(doomed.resumed)
+            gateway._pacer.cancel(doomed)
+
+        gate.release()  # the flush hands the slot to the doomed step...
+        # ...which is closed in that same pass, before it runs.
+        asyncio.get_running_loop().call_soon(abort)
+        await asyncio.wait_for(survivor.done, timeout=5.0)
+        await asyncio.wait_for(gate.acquire(3.0), timeout=1.0)
+        gate.release()
+        await gateway.close()
+        return log, handed_over
+
+    log, handed_over = asyncio.run(scenario())
+    assert handed_over == [True]
+    assert [tag for tag, _end in log] == ["survivor"]
+
+
+def test_live_run_creates_a_few_futures_per_query_not_one_per_chunk():
+    """The pacer steps queries on one timer heap: a served query costs
+    its completion future and its share of the arrival pacing, not a
+    future per 1 ms service chunk (an ``asyncio.sleep`` each)."""
+
+    class CountingLoop(asyncio.SelectorEventLoop):
+        futures = 0
+
+        def create_future(self):
+            self.futures += 1
+            return super().create_future()
+
+    loop = CountingLoop()
+    try:
+        report = loop.run_until_complete(
+            run_live(scenario_config(), "minmax", time_scale=0.05, max_arrivals=40)
+        )
+    finally:
+        loop.close()
+    assert report.served == 40
+    assert loop.futures / report.served < 4
 
 
 # ----------------------------------------------------------------------
