@@ -4,9 +4,13 @@
 CI's ``shard-smoke`` job runs this: it launches the actual router CLI
 (``python -m repro.serve route --shards 2 --tenants 2``), which itself
 spawns two real shard subprocesses (each a full serve stack on half
-the scenario's disks and pool pages).  Two concurrent tenant clients
-drive submissions through the router; the script asserts
+the scenario's disks and pool pages).  One submit over the request-line
+limit goes first, then two concurrent tenant clients drive submissions
+through the router; the script asserts
 
+* the over-limit submit gets one structured error from the router and
+  is never forwarded (a shard would drop its link over it, stranding
+  every later submit routed there);
 * every submission is answered with its shard attribution and echoed
   tag (departure-time responses are correlated, not ordered);
 * conservation: router arrivals == Σ shard arrivals == Σ shard
@@ -147,6 +151,32 @@ async def tenant_client(host: str, port: int, tenant: str) -> list:
         writer.close()
 
 
+async def over_limit_submit(host: str, port: int) -> None:
+    """A submit longer than the request-line limit (64 KiB) is refused
+    with one structured error, and the router closes that connection."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            json.dumps(
+                {
+                    "op": "submit",
+                    "type": "sort",
+                    "pages": 8,
+                    "slack": 20.0,
+                    "tenant": TENANTS[0],
+                    "pad": "x" * 100_000,
+                }
+            ).encode()
+            + b"\n"
+        )
+        await writer.drain()
+        response = json.loads(await reader.readline())
+        assert response == {"error": "request line too long"}, response
+        assert await reader.read() == b"", "connection left open"
+    finally:
+        writer.close()
+
+
 async def fetch_stats(host: str, port: int) -> dict:
     reader, writer = await asyncio.open_connection(host, port, limit=1 << 20)
     try:
@@ -183,6 +213,7 @@ def check_stats(stats: dict) -> None:
 
 
 async def _drive(host: str, port: int) -> dict:
+    await over_limit_submit(host, port)
     results = await asyncio.gather(
         *(tenant_client(host, port, tenant) for tenant in TENANTS)
     )

@@ -1,9 +1,11 @@
 """A consistent-hash front-end router over N live-server shards.
 
-The router speaks the same JSON-lines protocol as
-:class:`~repro.serve.server.LiveServer` -- clients do not know whether
-they connected to a single server or a routed farm.  Every submission
-is forwarded to the shard owning its tenant:
+The router is the same JSON-lines front end as
+:class:`~repro.serve.server.LiveServer`
+(:class:`~repro.serve.frontend.JsonLinesFrontEnd`) with shard links
+behind it instead of a gateway, so clients do not know whether they
+connected to a single server or a routed farm.  Every submission is
+forwarded to the shard owning its tenant:
 
 * **Placement** starts on a :class:`HashRing` (sha256 points, virtual
   nodes, deterministic in the scenario seed), so a tenant lands on the
@@ -18,8 +20,12 @@ is forwarded to the shard owning its tenant:
 
 One TCP connection per shard carries all forwarded traffic: submit
 responses arrive at query *departure* time, wildly out of order, so
-:class:`ShardLink` correlates them with the ``tag`` echo the server
-protocol provides.
+:class:`ShardLink` correlates them with the ``tag`` echo the front end
+provides.  The link refuses, without sending it, a request its shard
+could not read (a line over the shared request limit -- re-encoding
+with the tenant and a link tag can grow a line the router accepted),
+and a link whose shard went away refuses at once; either way only the
+one client gets an error.
 
 Conservation is checked end to end: the router counts what it accepted
 and relays, the shards count what they served, and
@@ -35,11 +41,13 @@ import hashlib
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: readline limit on shard links and router connections -- aggregated
-#: stats responses outgrow the 64 KiB asyncio default on big farms.
+from repro.serve.frontend import REQUEST_LIMIT, JsonLinesFrontEnd
+
+#: readline limit for *responses* (on shard links and router clients)
+#: -- aggregated stats responses outgrow the 64 KiB request limit on
+#: big farms.
 LINE_LIMIT = 1 << 20
 
 #: Default wall seconds between rebalancer passes.
@@ -100,13 +108,14 @@ class ShardLink:
     query departure time -- out of order -- so each request gets a
     link-private tag and a future; the reader task resolves futures as
     tagged responses land.  A dead link fails every pending future
-    with :class:`ConnectionError` instead of hanging the callers.
+    with :class:`ConnectionError` instead of hanging the callers, and
+    refuses every later request at once.
     """
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self._tags = count()
+        self._sent = 0
         self._pending: Dict[str, asyncio.Future] = {}
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -119,16 +128,35 @@ class ShardLink:
         )
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
+    def _wire(self, payload: dict) -> Tuple[str, bytes]:
+        """The next request's tag and line; raises instead when the
+        link is dead (:class:`ConnectionError`) or the line is longer
+        than the peer reads (:class:`ValueError`)."""
+        if self._reader_task is None:
+            raise ConnectionError(f"shard {self.host}:{self.port} not connected")
+        if self._reader_task.done():
+            raise ConnectionError(f"shard link {self.host}:{self.port} closed")
+        tag = f"link{self._sent}"
+        line = json.dumps(dict(payload, tag=tag)).encode()
+        if len(line) > REQUEST_LIMIT:
+            raise ValueError(
+                f"request line too long for shard {self.host}:{self.port}: "
+                f"{len(line)} bytes, limit {REQUEST_LIMIT}"
+            )
+        return tag, line + b"\n"
+
+    def check(self, payload: dict) -> None:
+        """Raise what :meth:`request` would raise before sending
+        ``payload``; the router counts a submission only once it
+        passes."""
+        self._wire(payload)
+
     async def request(self, payload: dict) -> dict:
         """Send one request and await its (tag-correlated) response."""
-        if self._writer is None:
-            raise ConnectionError(f"shard {self.host}:{self.port} not connected")
-        tag = f"link{next(self._tags)}"
-        message = dict(payload)
-        message["tag"] = tag
+        tag, data = self._wire(payload)
+        self._sent += 1
         future = asyncio.get_running_loop().create_future()
         self._pending[tag] = future
-        data = json.dumps(message).encode() + b"\n"
         try:
             async with self._write_lock:
                 self._writer.write(data)
@@ -207,9 +235,13 @@ class Migration:
         }
 
 
-class ShardRouter:
+class ShardRouter(JsonLinesFrontEnd):
     """The asyncio front end: accept client submissions, place them on
     shards, relay the departure responses, rebalance on skew."""
+
+    #: Firm deadlines bound the shards' in-flight work; the relays wait
+    #: for it.
+    DRAIN_TIMEOUT = 60.0
 
     def __init__(
         self,
@@ -222,6 +254,7 @@ class ShardRouter:
     ):
         if not endpoints:
             raise ValueError("router needs at least one shard endpoint")
+        super().__init__()
         self.links = [ShardLink(host, port) for host, port in endpoints]
         self.ring = HashRing(len(self.links), seed=ring_seed)
         #: tenant -> shard index.  Seeded from ``placement`` overrides
@@ -250,16 +283,7 @@ class ShardRouter:
         # -- rebalancer window state ----------------------------------
         self._window_tenant: Dict[str, int] = {}
         self._last_shard_arrivals = [0] * len(self.links)
-        # -- lifecycle ------------------------------------------------
-        self._server: Optional[asyncio.AbstractServer] = None
         self._rebalance_task: Optional[asyncio.Task] = None
-        self._writers: set = set()
-        self._draining = False
-        self._closing = False
-        self._closed = asyncio.Event()
-        self._pending = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._t0 = 0.0
 
     # ------------------------------------------------------------------
@@ -269,22 +293,10 @@ class ShardRouter:
         for link in self.links:
             await link.connect()
         self._t0 = asyncio.get_running_loop().time()
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=LINE_LIMIT
-        )
+        address = await self._listen(host, port)
         if self.rebalance_interval > 0:
             self._rebalance_task = asyncio.ensure_future(self._rebalance_loop())
-        address = self._server.sockets[0].getsockname()
-        return address[0], address[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+        return address
 
     def place(self, tenant: str) -> int:
         """Current shard for ``tenant``: explicit placement (including
@@ -300,157 +312,61 @@ class ShardRouter:
         """Refuse new submissions, wait for every in-flight one to be
         answered (firm deadlines bound the wait), and return the final
         aggregated stats while the shard links are still open."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=timeout)
-        except asyncio.TimeoutError:
-            pass
+        self._stop_accepting()
+        await self._until_idle(timeout)
         return await self.stats()
 
-    async def close(self) -> None:
-        """Stop accepting, let in-flight requests answer, close the
-        shard links.  Idempotent, like ``LiveServer.close``."""
-        if self._closing:
-            await self._closed.wait()
-            return
-        self._closing = True
-        self._draining = True
-        try:
-            if self._server is not None:
-                self._server.close()
-            if self._rebalance_task is not None:
-                self._rebalance_task.cancel()
-                try:
-                    await self._rebalance_task
-                except asyncio.CancelledError:
-                    pass
-                self._rebalance_task = None
+    async def _quiesce(self) -> None:
+        if self._rebalance_task is not None:
+            self._rebalance_task.cancel()
             try:
-                await asyncio.wait_for(self._idle.wait(), timeout=60.0)
-            except asyncio.TimeoutError:
+                await self._rebalance_task
+            except asyncio.CancelledError:
                 pass
-            for writer in list(self._writers):
-                writer.close()
-            if self._server is not None:
-                await self._server.wait_closed()
-                self._server = None
-            for link in self.links:
-                await link.close()
-        finally:
-            self._closed.set()
+            self._rebalance_task = None
+
+    async def _shutdown(self) -> None:
+        for link in self.links:
+            await link.close()
 
     # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        """One client connection, same discipline as ``LiveServer``:
-        every line served in its own task, hostile input answered with
-        structured errors, a disconnect cancels the in-flight relays."""
-        self._writers.add(writer)
-        state = {"tenant": ""}
-        lock = asyncio.Lock()
-        inflight: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._respond(
-                        writer, lock, {"error": "request line too long"}
-                    )
-                    break
-                if not line:
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_request(line, state, writer, lock)
-                )
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        finally:
-            for task in list(inflight):
-                task.cancel()
-            self._writers.discard(writer)
-            writer.close()
+    def _greet(self, tenant: str) -> dict:
+        return {
+            "tenant": tenant,
+            "shard": self.place(tenant) if tenant else None,
+        }
 
-    async def _serve_request(self, line, state, writer, lock) -> None:
-        self._pending += 1
-        self._idle.clear()
-        tag = None
-        try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as error:
-                response = {"error": f"malformed JSON: {error}"}
-            else:
-                if not isinstance(request, dict):
-                    response = {"error": "request must be a JSON object"}
-                else:
-                    tag = request.get("tag")
-                    try:
-                        response = await self._dispatch(request, state)
-                    except (ValueError, KeyError, TypeError) as error:
-                        response = {"error": str(error)}
-                    except ConnectionError as error:
-                        response = {"error": f"shard unreachable: {error}"}
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as error:
-                        response = {
-                            "error": "internal error: "
-                            f"{type(error).__name__}: {error}"
-                        }
-            if tag is not None:
-                response["tag"] = tag
-            await self._respond(writer, lock, response)
-        except asyncio.CancelledError:
-            return
-        finally:
-            self._pending -= 1
-            if self._pending == 0:
-                self._idle.set()
-
-    async def _respond(self, writer, lock, response: dict) -> None:
-        payload = json.dumps(response).encode() + b"\n"
-        try:
-            async with lock:
-                writer.write(payload)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    async def _dispatch(self, request: dict, state: dict) -> dict:
+    async def _dispatch(self, request: dict, tenant: str = "") -> dict:
         op = request.get("op", "submit")
-        if op == "hello":
-            tenant = str(request.get("tenant", ""))
-            state["tenant"] = tenant
-            return {
-                "tenant": tenant,
-                "shard": self.place(tenant) if tenant else None,
-            }
-        if op == "stats":
-            return await self.stats()
-        if op == "submit":
-            if self._draining:
-                raise ValueError("router is draining; submission refused")
-            tenant = str(request.get("tenant", state["tenant"]) or "")
-            shard = self.place(tenant)
-            self.arrivals += 1
-            self.routed[shard] += 1
-            self.per_tenant[tenant] = self.per_tenant.get(tenant, 0) + 1
-            self._window_tenant[tenant] = (
-                self._window_tenant.get(tenant, 0) + 1
-            )
-            forward = {
-                key: value for key, value in request.items() if key != "tag"
-            }
-            forward["tenant"] = tenant
-            response = await self.links[shard].request(forward)
-            response["shard"] = shard
-            self.responses += 1
-            return response
+        try:
+            if op == "stats":
+                return await self.stats()
+            if op == "submit":
+                return await self._relay(request, tenant)
+        except ConnectionError as error:
+            return {"error": f"shard unreachable: {error}"}
         raise ValueError(f"unknown op {op!r}")
+
+    async def _relay(self, request: dict, tenant: str) -> dict:
+        """Relay one submit to its tenant's shard, and the answer back."""
+        if self._draining:
+            raise ValueError("router is draining; submission refused")
+        tenant = str(request.get("tenant", tenant) or "")
+        shard = self.place(tenant)
+        link = self.links[shard]
+        forward = {key: value for key, value in request.items() if key != "tag"}
+        forward["tenant"] = tenant
+        # Count only what the link takes: a refused submit never reaches
+        # a shard, so counting it would break conservation.
+        link.check(forward)
+        self.arrivals += 1
+        self.routed[shard] += 1
+        self.per_tenant[tenant] = self.per_tenant.get(tenant, 0) + 1
+        self._window_tenant[tenant] = self._window_tenant.get(tenant, 0) + 1
+        response = await link.request(forward)
+        response["shard"] = shard
+        self.responses += 1
+        return response
 
     # ------------------------------------------------------------------
     async def stats(self) -> dict:

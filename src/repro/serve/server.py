@@ -1,9 +1,12 @@
-"""A multi-tenant JSON-lines TCP front end over the live gateway.
+"""The live gateway behind the JSON-lines TCP front end.
 
 ``python -m repro.serve serve`` runs this: any number of clients
 connect concurrently, submit queries with deadlines, and receive the
-outcome when the query departs (completed or deadline-aborted).  One
-request per line, one JSON response per request.  Every connection
+outcome when the query departs (completed or deadline-aborted).  The
+wire -- one request per line, connections, error replies, tag echo,
+the request-line limit and the drain -- is
+:class:`~repro.serve.frontend.JsonLinesFrontEnd`, shared with the shard
+router; this module adds the gateway's ops.  Every connection
 shares the *same* gateway -- one memory broker, one tracked allocator,
 one cross-query buffer pool, one contended disk farm, one worker gate
 -- so tenants genuinely compete for memory and disks the way the
@@ -40,11 +43,6 @@ the per-tenant breakdown included)::
         "observed_mpl": 2.4, "decisions": 25, "pool_hit_ratio": 0.13,
         "disk_queue_s": 0.8, "per_tenant": {"acme": {...}}, ...}
 
-Any request may carry a ``"tag"`` (any JSON value); the server echoes
-it in the response.  Submit responses arrive at query *departure*
-time -- out of order on a pipelining connection -- so the tag is how a
-multiplexing client (e.g. :mod:`repro.serve.router`) correlates them.
-
 ``pages`` is the operand size in model pages (a sort's relation, a
 join's inner relation); the server synthesises a relation of that size
 on a round-robin disk, prices the deadline with the same stand-alone
@@ -60,12 +58,12 @@ then the gateway closes.
 from __future__ import annotations
 
 import asyncio
-import json
 from itertools import count
 from typing import Dict, Optional, Tuple
 
 from repro.rtdbs.config import EXTERNAL_SORT, HASH_JOIN
 from repro.rtdbs.database import Relation
+from repro.serve.frontend import JsonLinesFrontEnd
 from repro.serve.gateway import SHED, LiveGateway
 from repro.serve.workload import LiveArrival
 
@@ -73,7 +71,7 @@ from repro.serve.workload import LiveArrival
 _SYNTHETIC_BASE = 1_000_000
 
 
-class LiveServer:
+class LiveServer(JsonLinesFrontEnd):
     """Accept query submissions over TCP and push them to the gateway."""
 
     def __init__(
@@ -81,6 +79,7 @@ class LiveServer:
         gateway: LiveGateway,
         shard: Optional[Tuple[int, int]] = None,
     ):
+        super().__init__()
         self.gateway = gateway
         #: ``(shard_id, shard_count)`` when this server is one shard of
         #: a routed deployment (``serve --shard-id I --of N``); ``None``
@@ -91,7 +90,6 @@ class LiveServer:
         self._rel_ids = count(_SYNTHETIC_BASE)
         self._disk_cursor = 0
         self._waiters: dict = {}
-        self._server: Optional[asyncio.AbstractServer] = None
         #: tenant name -> query-class name (policy-facing identity).
         self._tenant_classes: Dict[str, str] = {}
         #: The scenario's classes, computed once -- tenant_class is on
@@ -100,59 +98,21 @@ class LiveServer:
         self._classes = tuple(gateway.config.workload.classes)
         self._class_names = frozenset(qc.name for qc in self._classes)
         self._class_cursor = 0
-        self._writers: set = set()
-        self._draining = False
-        self._closing = False
-        self._closed = asyncio.Event()
-        #: Requests mid-flight in a handler (read, not yet responded).
-        self._pending = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         gateway.departure_listeners.append(self._on_departure)
 
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Start the gateway and the listener; returns (host, port)."""
         await self.gateway.start()
-        self._server = await asyncio.start_server(self._handle, host, port)
-        address = self._server.sockets[0].getsockname()
-        return address[0], address[1]
+        return await self._listen(host, port)
 
-    async def close(self) -> None:
-        """Graceful drain: refuse new work, let in-flight queries depart
-        (answering their clients), then tear the gateway down.
+    async def _quiesce(self) -> None:
+        # In-flight queries run to departure, which resolves every
+        # waiter; close() then waits for those final responses.
+        await self.gateway.drain()
 
-        Idempotent: concurrent or repeated calls wait for the first
-        drain to finish instead of re-draining a closed gateway.
-        """
-        if self._closing:
-            await self._closed.wait()
-            return
-        self._closing = True
-        self._draining = True
-        try:
-            if self._server is not None:
-                self._server.close()
-            await self.gateway.drain()
-            # The departures resolved every waiter; wait until the
-            # handler tasks have written those final responses out
-            # (bounded, in case a client's transport wedges mid-write).
-            try:
-                await asyncio.wait_for(self._idle.wait(), timeout=10.0)
-            except asyncio.TimeoutError:
-                pass
-            for writer in list(self._writers):
-                writer.close()
-            if self._server is not None:
-                await self._server.wait_closed()
-                self._server = None
-            await self.gateway.close()
-        finally:
-            self._closed.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    async def _shutdown(self) -> None:
+        await self.gateway.close()
 
     # ------------------------------------------------------------------
     def tenant_class(self, tenant: str) -> str:
@@ -173,11 +133,6 @@ class LiveServer:
                 self._class_cursor += 1
             self._tenant_classes[tenant] = mapped
         return mapped
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
     # ------------------------------------------------------------------
     def _on_departure(self, record) -> None:
@@ -246,117 +201,6 @@ class LiveServer:
             tenant=tenant,
         )
 
-    # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        """One connection: read request lines, serve each in its own task.
-
-        Hardened against hostile or broken clients: malformed and
-        non-object JSON get structured ``error`` responses, an
-        oversized line (framing is unrecoverable) gets one error and a
-        close, and a mid-stream disconnect cancels every request still
-        in flight -- which aborts the queries they own and releases
-        their grants.  Nothing a single client does can kill the
-        accept loop or wedge another tenant's connection.
-        """
-        self._writers.add(writer)
-        #: Shared connection state: "hello" sets the default tenant for
-        #: every later request (tasks start in arrival order, and hello
-        #: has no await before the mutation, so the order holds).
-        state = {"tenant": ""}
-        lock = asyncio.Lock()  # serialises response writes
-        inflight: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Oversized line: the stream's framing is lost.
-                    await self._respond(
-                        writer, lock, {"error": "request line too long"}
-                    )
-                    break
-                if not line:
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_request(line, state, writer, lock)
-                )
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass  # server shutdown or client vanished: just end quietly
-        finally:
-            for task in list(inflight):
-                task.cancel()  # aborts the queries these requests own
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _serve_request(self, line, state, writer, lock) -> None:
-        """Parse and serve one request line; always answer something.
-
-        A request carrying a ``"tag"`` gets it echoed in the response:
-        submit responses arrive at query *departure* time, so a client
-        multiplexing many in-flight submits on one connection (the
-        shard router does exactly this) needs the tag to correlate the
-        out-of-order responses.
-        """
-        self._pending += 1
-        self._idle.clear()
-        tag = None
-        try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as error:
-                response = {"error": f"malformed JSON: {error}"}
-            else:
-                if not isinstance(request, dict):
-                    response = {"error": "request must be a JSON object"}
-                else:
-                    tag = request.get("tag")
-                    try:
-                        if request.get("op") == "hello":
-                            tenant = str(request.get("tenant", ""))
-                            state["tenant"] = tenant
-                            response = {
-                                "tenant": tenant,
-                                "class": self.tenant_class(tenant)
-                                if tenant
-                                else None,
-                            }
-                        else:
-                            response = await self._dispatch(
-                                request, state["tenant"]
-                            )
-                    except (ValueError, KeyError, TypeError) as error:
-                        response = {"error": str(error)}
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as error:
-                        # A server-side bug must not kill the
-                        # connection loop; the gateway's failure
-                        # channel still surfaces it at drain.
-                        response = {
-                            "error": "internal error: "
-                            f"{type(error).__name__}: {error}"
-                        }
-            if tag is not None:
-                response["tag"] = tag
-            await self._respond(writer, lock, response)
-        except asyncio.CancelledError:
-            return  # connection gone: _dispatch cancelled its query
-        finally:
-            self._pending -= 1
-            if self._pending == 0:
-                self._idle.set()
-
-    async def _respond(self, writer, lock, response: dict) -> None:
-        payload = json.dumps(response).encode() + b"\n"
-        try:
-            async with lock:
-                writer.write(payload)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished before reading its response
-
     def _stats(self) -> dict:
         gateway = self.gateway
         report = gateway.report
@@ -401,6 +245,12 @@ class LiveServer:
                 if self.shard is not None
                 else None
             ),
+        }
+
+    def _greet(self, tenant: str) -> dict:
+        return {
+            "tenant": tenant,
+            "class": self.tenant_class(tenant) if tenant else None,
         }
 
     async def _dispatch(self, request: dict, tenant: str = "") -> dict:

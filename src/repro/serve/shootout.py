@@ -30,7 +30,6 @@ the cached parallel experiment engine).  Cross-checks:
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,6 +88,18 @@ def find_multitenant_scenario(
         f"no multitenant scenario with {tenants} tenants in indices "
         f"[{start_index}, {start_index + TENANT_SCAN_LIMIT})"
     )
+
+
+def pick_scenario(
+    scenario_seed: int, family: str, index: int, tenants: Optional[int]
+) -> Scenario:
+    """The scenario a live run serves: with ``tenants`` the first
+    multitenant scenario at or after ``index`` with that many tenants,
+    otherwise ``family``/``index``."""
+    generator = ScenarioGenerator(scenario_seed)
+    if tenants is not None:
+        return find_multitenant_scenario(generator, tenants, index)
+    return generator.generate(family, index)
 
 
 @dataclass
@@ -337,11 +348,7 @@ def live_shootout(
     ``shards=1`` (and ``None``) is the identity: no router, no
     resource split, fidelity gate unchanged.
     """
-    generator = ScenarioGenerator(scenario_seed)
-    if tenants is not None:
-        scenario = find_multitenant_scenario(generator, tenants, index)
-    else:
-        scenario = generator.generate(family, index)
+    scenario = pick_scenario(scenario_seed, family, index, tenants)
     config = scenario.config
     policy_list = tuple(policies)
     if shards is not None and shards < 1:
@@ -594,33 +601,27 @@ async def _run_sharded_policy(
     return _merge_reports(reports, time_scale), final_stats
 
 
-async def _route_schedule(host, port, schedule, time_scale: float):
+async def _route_schedule(host, port, schedule, time_scale: float) -> None:
     """Replay the open-loop schedule through the router over real TCP.
 
-    One pipelining connection carries every submission; responses come
-    back at departure time (out of order) and are matched by the
-    request tag.  Returns ``{qid: response}`` once every submission is
-    answered.
+    One pipelining :class:`~repro.serve.router.ShardLink` carries every
+    submission; responses come back at departure time (out of order)
+    and the link correlates them by tag.  Raises on the first error
+    reply; returns once every submission is answered.
     """
-    from repro.serve.router import LINE_LIMIT
+    from repro.serve.router import ShardLink
 
-    reader, writer = await asyncio.open_connection(host, port, limit=LINE_LIMIT)
-    expected = len(schedule.arrivals)
-    responses: Dict[int, dict] = {}
+    link = ShardLink(host, port)
+    await link.connect()
 
-    async def read_responses() -> None:
-        while len(responses) < expected:
-            line = await reader.readline()
-            if not line:
-                raise ConnectionError("router connection closed mid-run")
-            response = json.loads(line)
-            if "error" in response:
-                raise RuntimeError(f"router refused a submission: {response}")
-            responses[int(response["tag"])] = response
+    async def submit(arrival) -> None:
+        response = await link.request(submit_request(arrival))
+        if "error" in response:
+            raise RuntimeError(f"router refused a submission: {response}")
 
-    reader_task = asyncio.ensure_future(read_responses())
     loop = asyncio.get_running_loop()
     t0 = loop.time()
+    replies = []
     try:
         for arrival in schedule.arrivals:
             # Same floored pacing as the in-process gateway replay.
@@ -630,16 +631,13 @@ async def _route_schedule(host, port, schedule, time_scale: float):
                 if delay <= 0.0002:
                     break
                 await asyncio.sleep(_quantize(delay))
-            request = submit_request(arrival)
-            request["tag"] = arrival.qid
-            writer.write(json.dumps(request).encode() + b"\n")
-            await writer.drain()
-        await reader_task
+            replies.append(asyncio.ensure_future(submit(arrival)))
+        await asyncio.gather(*replies)
     finally:
-        if not reader_task.done():
-            reader_task.cancel()
-        writer.close()
-    return responses
+        for reply in replies:
+            reply.cancel()
+        await asyncio.gather(*replies, return_exceptions=True)
+        await link.close()
 
 
 def _merge_reports(

@@ -1,6 +1,7 @@
 """The sharded serve layer: config slicing, the consistent-hash ring,
 router conservation over real TCP, rebalancer migration under forced
-skew, and drain-through-router semantics."""
+skew, drain-through-router semantics, and refusals (dead shard link,
+over-limit request lines) that fail one request, not the link."""
 
 import asyncio
 import json
@@ -8,8 +9,9 @@ import json
 import pytest
 
 from repro.scenarios import ScenarioGenerator
+from repro.serve.frontend import REQUEST_LIMIT
 from repro.serve.gateway import LiveGateway
-from repro.serve.router import HashRing, ShardRouter
+from repro.serve.router import LINE_LIMIT, HashRing, ShardRouter
 from repro.serve.server import LiveServer
 from repro.serve.shard import shard_config, split_evenly
 from repro.serve.shootout import find_multitenant_scenario
@@ -335,6 +337,131 @@ def test_router_close_is_idempotent():
             await server.close()
 
     asyncio.run(scenario())
+
+
+def _submit(tenant, **extra):
+    request = {
+        "op": "submit",
+        "type": "sort",
+        "pages": 8,
+        "slack": 50.0,
+        "tenant": tenant,
+    }
+    request.update(extra)
+    return request
+
+
+def test_dead_shard_link_fails_fast():
+    """A request routed to a shard whose link died is answered at once
+    with ``shard unreachable`` -- not parked on a future that nothing
+    will ever resolve -- and is not counted as an arrival."""
+
+    async def scenario():
+        _, servers, router, (host, port) = await _start_farm(
+            rebalance_interval=0.0
+        )
+        try:
+            shard = router.place("tenant0")
+            link = router.links[shard]
+            await servers[shard].close()
+            for _ in range(500):  # until the link's reader sees the EOF
+                if link._reader_task.done():
+                    break
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                response = await asyncio.wait_for(
+                    _request(writer, reader, _submit("tenant0")), timeout=5.0
+                )
+            finally:
+                writer.close()
+            return response, router.arrivals
+        finally:
+            await _stop_farm(servers, router)
+
+    response, arrivals = asyncio.run(scenario())
+    assert "shard unreachable" in response["error"], response
+    assert arrivals == 0
+
+
+def test_over_limit_submit_is_refused_without_killing_the_link():
+    """A 100 KB submit gets one structured error from the router, which
+    reads requests under the same limit as its shards.  Forwarded, it
+    would make the shard drop the link and strand every later submit
+    routed there; instead the same tenant is served on a new
+    connection and the drained farm conserves."""
+
+    async def scenario():
+        _, servers, router, (host, port) = await _start_farm(
+            rebalance_interval=0.0
+        )
+        try:
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=LINE_LIMIT
+            )
+            try:
+                writer.write(
+                    json.dumps(_submit("tenant0", pad="x" * 100_000)).encode()
+                    + b"\n"
+                )
+                await writer.drain()
+                refused = json.loads(await reader.readline())
+            finally:
+                writer.close()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                answered = await asyncio.wait_for(
+                    _request(writer, reader, _submit("tenant0")), timeout=30.0
+                )
+            finally:
+                writer.close()
+            return refused, answered, await router.drain_stats()
+        finally:
+            await _stop_farm(servers, router)
+
+    refused, answered, stats = asyncio.run(scenario())
+    assert refused == {"error": "request line too long"}
+    assert "error" not in answered, answered
+    assert stats["arrivals"] == 1
+    assert stats["conservation"]["complete"], stats["conservation"]
+
+
+def test_router_refuses_a_line_that_outgrows_the_shard_limit():
+    """Forwarding re-encodes a request with its tenant and a link tag,
+    so a line the router accepted can outgrow the limit its shard
+    reads under.  The link refuses it unsent: only that request fails,
+    and the same connection keeps being served."""
+    request = _submit("tenant0", pad="")
+    request["pad"] = "x" * (REQUEST_LIMIT - len(json.dumps(request)))
+    line = json.dumps(request).encode()
+    assert len(line) == REQUEST_LIMIT  # the router reads it whole
+
+    async def scenario():
+        _, servers, router, (host, port) = await _start_farm(
+            rebalance_interval=0.0
+        )
+        try:
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=LINE_LIMIT
+            )
+            try:
+                writer.write(line + b"\n")
+                await writer.drain()
+                refused = json.loads(await reader.readline())
+                answered = await asyncio.wait_for(
+                    _request(writer, reader, _submit("tenant0")), timeout=30.0
+                )
+            finally:
+                writer.close()
+            return refused, answered, await router.drain_stats()
+        finally:
+            await _stop_farm(servers, router)
+
+    refused, answered, stats = asyncio.run(scenario())
+    assert "request line too long for shard" in refused["error"], refused
+    assert "error" not in answered, answered
+    assert stats["arrivals"] == 1
+    assert stats["conservation"]["complete"], stats["conservation"]
 
 
 # ----------------------------------------------------------------------
