@@ -18,7 +18,9 @@ through the router; the script asserts
 * SIGINT drains the whole farm: the router prints its conservation
   verdict and exits 0, and every shard drains cleanly underneath it.
 
-On any failure the exact reproduction command is printed last.
+On any failure the whole farm is killed (the router runs in its own
+process group, which its shards share) and the exact reproduction
+command is printed last.
 
 Run locally with::
 
@@ -85,6 +87,7 @@ def launch(time_scale: float) -> tuple:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
     lines: queue.Queue = queue.Queue()
 
@@ -98,7 +101,7 @@ def launch(time_scale: float) -> tuple:
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            process.kill()
+            kill_farm(process)
             raise SystemExit("router never printed its ready line")
         try:
             line = lines.get(timeout=min(remaining, 1.0))
@@ -212,6 +215,16 @@ def check_stats(stats: dict) -> None:
     assert sum(s["arrivals"] for s in shards) == expected, shards
 
 
+def kill_farm(process: subprocess.Popen) -> None:
+    """SIGKILL the router and every shard it spawned: they share the
+    router's process group."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait()
+
+
 async def _drive(host: str, port: int) -> dict:
     await over_limit_submit(host, port)
     results = await asyncio.gather(
@@ -240,13 +253,14 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     process, host, port, lines = launch(args.time_scale)
     try:
-        results = asyncio.run(
-            asyncio.wait_for(_drive(host, port), timeout=240.0)
-        )
+        return _exercise(process, host, port, lines)
     except BaseException:
-        process.kill()
-        process.wait()
+        kill_farm(process)
         raise
+
+
+def _exercise(process: subprocess.Popen, host: str, port: int, lines) -> int:
+    results = asyncio.run(asyncio.wait_for(_drive(host, port), timeout=240.0))
     stats = results["stats"]
     check_stats(stats)
     aggregate = stats["aggregate"]
@@ -262,7 +276,6 @@ def _run(args) -> int:
     try:
         process.wait(timeout=180.0)
     except subprocess.TimeoutExpired:
-        process.kill()
         raise SystemExit("router did not drain within 180 s of SIGINT")
     chunks = []
     while True:  # the pump thread ends with a None sentinel at EOF

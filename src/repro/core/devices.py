@@ -10,10 +10,16 @@ the discrete-event simulator (:mod:`repro.rtdbs.disk`,
 (:mod:`repro.serve.dataplane`).  This module holds the *pure* logic
 they share -- no simulator clock, no event loop, no wall time:
 
+* :class:`RunLRU` -- a page-exact LRU stored as runs of consecutive
+  pages in recency order, behind both caches below.  Caches see block
+  transfers (6-page blocks, mostly continuing a scan), so a run-granular
+  store turns the common install into one integer update (the newest
+  run grows) or one append plus one trim at the oldest run, where a
+  per-page store paid a dict operation per page;
 * :class:`PrefetchCache` -- the per-disk LRU page cache (reads fully
   covered by recently transferred pages cost no arm time);
-* :class:`LRUDataCache` -- the buffer pool's page-granular LRU region
-  with a dynamically adjustable capacity;
+* :class:`LRUDataCache` -- the buffer pool's LRU region over packed
+  ``disk << 48 | page`` keys, with a dynamically adjustable capacity;
 * :class:`DeviceCore` -- one disk's physical state (head position,
   sweep direction, bounded sequential-stream tails, prefetch cache)
   plus the ``Seek + RotateDelay + Transfer`` pricing of Section 4.2
@@ -29,93 +35,64 @@ cached afterwards is taken here, identically, once.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 READ = "read"
 WRITE = "write"
 
 
-class PrefetchCache:
-    """LRU cache of recently transferred pages (one per disk).
+class RunLRU:
+    """Page-exact LRU over integer page keys, stored as runs.
 
-    Backed by a plain insertion-ordered dict: recency refresh is a
-    delete-and-reinsert, eviction pops from the iteration front.  Plain
-    dicts beat ``OrderedDict`` on every operation this hot path uses.
+    The cache holds the same pages in the same recency order as a
+    per-page LRU (one dict entry per page, refresh = delete and
+    reinsert, evict from the front) -- but as *runs*: stretches of
+    consecutive keys that became most recent together, so that within
+    a run recency rises with the key.  A block transfer installs one
+    run; a transfer that starts where the newest run ends (a scan
+    continuing) only moves that run's end.  Each run is a mutable
+    ``[lo, hi)`` list, held by reference in two orders:
+
+    * ``_runs`` -- recency order, oldest first: eviction trims pages
+      off the front of the oldest run, a refresh or an install appends
+      at the back;
+    * ``_by_key`` -- key order (runs never overlap), with ``_ends``,
+      the runs' ``hi`` values, beside it for :func:`bisect.bisect_right`
+      to find the first run a range touches.
+
+    Trimming the oldest run moves its ``lo``, which neither order
+    records, so the index changes only when a run appears, disappears,
+    is cut, or is extended (its slot is known then).  Ranges that
+    overlap cached runs -- partially, strictly inside one, or spanning
+    several -- cut the overlap out of those runs first, so every hit,
+    miss and victim is the one the per-page LRU produces.  The lookup
+    is a bisection at every capacity: the same code serves the 32-page
+    prefetch cache and a buffer pool of thousands of pages.
+
+    Ranges are non-empty (``npages >= 1``; every disk access has at
+    least one page).  ``hits`` and ``misses`` are counted by the
+    adapters below, which decide what a probe or an install means for
+    their host.
     """
 
-    def __init__(self, capacity_pages: int):
-        if capacity_pages <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = capacity_pages
-        self._pages: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def contains_all(self, start_page: int, npages: int) -> bool:
-        """True when every page of the range is cached (a free read)."""
-        pages = self._pages
-        for page in range(start_page, start_page + npages):
-            if page not in pages:
-                return False
-        return True
-
-    def touch(self, start_page: int, npages: int) -> None:
-        """Record a hit: refresh the pages' recency."""
-        self.hits += 1
-        pages = self._pages
-        pop = pages.pop
-        for page in range(start_page, start_page + npages):
-            pop(page)
-            pages[page] = None
-
-    def insert(self, start_page: int, npages: int) -> None:
-        """Record a transfer: install the pages, evicting LRU ones.
-
-        Evictions are deferred to the end of the block: the surviving
-        set (the ``capacity`` most recently touched pages) is identical
-        to per-page eviction, without a capacity test on every page.
-        """
-        self.misses += 1
-        pages = self._pages
-        pop = pages.pop
-        for page in range(start_page, start_page + npages):
-            pop(page, None)
-            pages[page] = None
-        excess = len(pages) - self.capacity
-        if excess > 0:
-            victims = list(islice(pages, excess))
-            for page in victims:
-                del pages[page]
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-
-class LRUDataCache:
-    """Page-granular LRU cache with a dynamically adjustable capacity.
-
-    Pages are keyed by a single packed integer (``disk << 48 | page``)
-    rather than a ``(disk, page)`` tuple: the cache is consulted on
-    every cacheable read, and integer keys avoid a tuple allocation and
-    hash per page on that hot path.  The backing store is a plain
-    insertion-ordered dict (recency refresh = delete-and-reinsert),
-    which outperforms ``OrderedDict`` on every operation used here.
-    """
-
-    _DISK_SHIFT = 48  # pages-per-disk fits comfortably below 2**48
+    __slots__ = ("_capacity", "_size", "_runs", "_by_key", "_ends", "hits", "misses")
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError(f"negative capacity: {capacity}")
         self._capacity = capacity
-        self._pages: dict = {}
+        self._size = 0
+        self._runs: List[list] = []
+        self._by_key: List[list] = []
+        self._ends: List[int] = []
         self.hits = 0
         self.misses = 0
 
     @property
     def capacity(self) -> int:
-        """Current capacity in pages."""
+        """Current capacity in pages; lowering it evicts LRU pages."""
         return self._capacity
 
     @capacity.setter
@@ -123,54 +100,185 @@ class LRUDataCache:
         if value < 0:
             raise ValueError(f"negative capacity: {value}")
         self._capacity = value
-        self._evict_excess()
-
-    def _evict_excess(self) -> None:
-        pages = self._pages
-        excess = len(pages) - self._capacity
-        if excess > 0:
-            victims = list(islice(pages, excess))
-            for key in victims:
-                del pages[key]
+        if self._size > value:
+            self._trim()
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return self._size
 
-    def contains_all(self, disk: int, start_page: int, npages: int) -> bool:
-        """True when the whole range is cached (counts one hit/miss)."""
-        pages = self._pages
-        base = (disk << self._DISK_SHIFT) + start_page
-        for key in range(base, base + npages):
-            if key not in pages:
-                self.misses += 1
-                return False
-        self.hits += 1
-        pop = pages.pop
-        for key in range(base, base + npages):
-            pop(key)
-            pages[key] = None
-        return True
-
-    def insert(self, disk: int, start_page: int, npages: int) -> None:
-        """Install pages just read from disk, evicting LRU victims.
-
-        Evictions are deferred to the end of the range; the surviving
-        set (the ``capacity`` most recently touched pages) is the same
-        as with per-page eviction.
-        """
-        if self._capacity == 0:
-            return
-        pages = self._pages
-        pop = pages.pop
-        base = (disk << self._DISK_SHIFT) + start_page
-        for key in range(base, base + npages):
-            pop(key, None)
-            pages[key] = None
-        self._evict_excess()
+    def __iter__(self) -> Iterator[int]:
+        """Cached keys, least recently used first."""
+        for lo, hi in self._runs:
+            yield from range(lo, hi)
 
     def invalidate_all(self) -> None:
         """Drop every cached page."""
-        self._pages.clear()
+        self._runs.clear()
+        self._by_key.clear()
+        self._ends.clear()
+        self._size = 0
+
+    def _covers(self, lo: int, npages: int) -> bool:
+        """True when every key of ``[lo, lo + npages)`` is cached."""
+        ends = self._ends
+        i = bisect_right(ends, lo)
+        if i == len(ends):
+            return False
+        by_key = self._by_key
+        run = by_key[i]
+        if run[0] > lo:
+            return False
+        hi = run[1]
+        end = lo + npages
+        if hi >= end:
+            return True
+        # The range runs past this run: key-adjacent runs may cover it.
+        for run in islice(by_key, i + 1, None):
+            if run[0] != hi:
+                return False
+            hi = run[1]
+            if hi >= end:
+                return True
+        return False
+
+    def _place(self, lo: int, npages: int) -> None:
+        """Make ``[lo, lo + npages)`` the most recent keys, then evict.
+
+        Cached keys of the range leave their runs (a run the range
+        falls strictly inside splits in two, adjacent in recency); the
+        range becomes the newest run, or extends the newest run when
+        it starts where that run ends; the oldest pages beyond the
+        capacity are trimmed.
+        """
+        hi = lo + npages
+        by_key = self._by_key
+        ends = self._ends
+        runs = self._runs
+        size = self._size + npages
+        i = bisect_right(ends, lo)
+        n = len(ends)
+        while i < n:  # cut the range out of every run it overlaps
+            run = by_key[i]
+            r_lo, r_hi = run
+            if r_lo >= hi:
+                break
+            if r_lo < lo:
+                run[1] = ends[i] = lo
+                if r_hi > hi:
+                    tail = [hi, r_hi]
+                    by_key.insert(i + 1, tail)
+                    ends.insert(i + 1, r_hi)
+                    runs.insert(runs.index(run) + 1, tail)
+                    size -= npages
+                    i += 1
+                    break
+                size -= r_hi - lo
+                i += 1
+            elif r_hi > hi:
+                run[0] = hi
+                size -= hi - r_lo
+                break
+            else:
+                del by_key[i]
+                del ends[i]
+                n -= 1
+                runs.remove(run)
+                size -= r_hi - r_lo
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = ends[i - 1] = hi
+        else:
+            run = [lo, hi]
+            runs.append(run)
+            by_key.insert(i, run)
+            ends.insert(i, hi)
+        excess = size - self._capacity
+        if excess > 0:
+            oldest = runs[0]
+            if oldest[1] - oldest[0] > excess:  # the common trim
+                oldest[0] += excess
+                size -= excess
+            else:
+                self._size = size
+                self._trim()
+                return
+        self._size = size
+
+    def _trim(self) -> None:
+        """Evict the oldest pages beyond the capacity."""
+        excess = self._size - self._capacity
+        runs = self._runs
+        by_key = self._by_key
+        ends = self._ends
+        while excess > 0:
+            oldest = runs[0]
+            length = oldest[1] - oldest[0]
+            if length > excess:
+                oldest[0] += excess
+                break
+            del runs[0]
+            k = bisect_left(ends, oldest[1])
+            del by_key[k]
+            del ends[k]
+            excess -= length
+        self._size = self._capacity
+
+
+class PrefetchCache(RunLRU):
+    """LRU cache of recently transferred pages (one per disk).
+
+    ``touch`` counts a hit, ``insert`` (a transfer) counts a miss.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, capacity_pages: int):
+        if capacity_pages <= 0:
+            raise ValueError("cache capacity must be positive")
+        super().__init__(capacity_pages)
+
+    #: True when every page of the range is cached (a free read).
+    contains_all = RunLRU._covers
+
+    def touch(self, start_page: int, npages: int) -> None:
+        """Record a hit: refresh the pages' recency."""
+        self.hits += 1
+        self._place(start_page, npages)
+
+    def insert(self, start_page: int, npages: int) -> None:
+        """Record a transfer: install the pages, evicting LRU ones."""
+        self.misses += 1
+        self._place(start_page, npages)
+
+
+class LRUDataCache(RunLRU):
+    """The buffer pool's LRU region, with a dynamically adjustable capacity.
+
+    Pages of every disk share one key space: a page is keyed by the
+    packed integer ``disk << 48 | page``, so a run never crosses disks
+    and a lookup allocates no tuple.  Every probe counts a hit or a miss.
+    """
+
+    __slots__ = ()
+
+    _DISK_SHIFT = 48  # pages-per-disk fits comfortably below 2**48
+
+    def contains_all(self, disk: int, start_page: int, npages: int) -> bool:
+        """True when the whole range is cached (counts one hit/miss).
+
+        A hit refreshes the range's recency.
+        """
+        key = (disk << self._DISK_SHIFT) + start_page
+        if self._covers(key, npages):
+            self.hits += 1
+            self._place(key, npages)
+            return True
+        self.misses += 1
+        return False
+
+    def insert(self, disk: int, start_page: int, npages: int) -> None:
+        """Install pages just read from disk, evicting LRU victims."""
+        if self._capacity:
+            self._place((disk << self._DISK_SHIFT) + start_page, npages)
 
 
 class DeviceCore:

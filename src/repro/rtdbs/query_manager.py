@@ -283,7 +283,7 @@ class QueryManager:
         start_io = self.config.cpu_costs.start_io
         cpu = self.cpu
         disks = self.disks
-        buffers = self.buffers
+        pool = self.buffers.cache  # the LRU region, probed per cacheable read
         priority = job.priority  # the deadline: fixed for the job's life
         op: Optional[_DiskOp] = None  # lazily created, reused per block
         try:
@@ -291,7 +291,7 @@ class QueryManager:
                 request_type = type(request)
                 if request_type is DiskAccess:
                     cacheable_read = request.kind == READ and request.cacheable
-                    if cacheable_read and buffers.read_hit(
+                    if cacheable_read and pool.contains_all(
                         request.disk, request.start_page, request.npages
                     ):
                         # Served from the buffer pool: no I/O, but the
@@ -309,9 +309,7 @@ class QueryManager:
                     yield op
                     job.pending = None
                     if cacheable_read:
-                        buffers.install(
-                            request.disk, request.start_page, request.npages
-                        )
+                        pool.insert(request.disk, request.start_page, request.npages)
                 elif request_type is CPUBurst:
                     handle = cpu.execute(request.instructions, priority)
                     if not handle.triggered:  # zero-work bursts skip the queue

@@ -32,6 +32,10 @@ and relays, the shards count what they served, and
 ``router arrivals == Σ shard arrivals == Σ shard (served + shed)``
 must hold once the farm is drained (``served`` includes deadline
 misses -- a missed query still departs and still answers its client).
+A shard that cannot be reached shows up in ``stats`` as its own error
+entry; the check then covers the shards that answered and is never
+``complete``, so one dead shard degrades the farm-wide view instead
+of failing it.
 """
 
 from __future__ import annotations
@@ -371,12 +375,14 @@ class ShardRouter(JsonLinesFrontEnd):
     # ------------------------------------------------------------------
     async def stats(self) -> dict:
         """Router counters, every shard's own stats, the aggregate, and
-        the conservation cross-check."""
-        shard_stats = list(
-            await asyncio.gather(
-                *(link.request({"op": "stats"}) for link in self.links)
-            )
-        )
+        the conservation cross-check.
+
+        An unreachable shard is reported as its own entry,
+        ``{"shard": i, "error": "shard unreachable: ..."}``; the
+        aggregate and the conservation check cover the shards that
+        answered.
+        """
+        shard_stats = await self._poll_shards()
         aggregate = {"arrivals": 0, "served": 0, "missed": 0, "shed": 0}
         for one in shard_stats:
             for key in aggregate:
@@ -398,27 +404,59 @@ class ShardRouter(JsonLinesFrontEnd):
             "draining": self._draining,
         }
 
+    async def _poll_shards(self) -> List[dict]:
+        """Every shard's ``stats`` reply, in shard order; a shard whose
+        link is dead reads as an error entry instead of failing the
+        whole poll."""
+        replies = await asyncio.gather(
+            *(link.request({"op": "stats"}) for link in self.links),
+            return_exceptions=True,
+        )
+        shard_stats = []
+        for shard, reply in enumerate(replies):
+            if isinstance(reply, ConnectionError):
+                reply = {"shard": shard, "error": f"shard unreachable: {reply}"}
+            elif isinstance(reply, BaseException):
+                raise reply
+            shard_stats.append(reply)
+        return shard_stats
+
     def conservation(self, shard_stats: Sequence[dict]) -> dict:
         """The cross-check: router arrivals == Σ shard arrivals, and --
         once the farm is drained -- Σ shard (served + shed) == arrivals
         (``served`` includes deadline misses; every accepted query
-        departs exactly once)."""
+        departs exactly once).
+
+        ``shard_stats`` is in shard order.  Error entries (unreachable
+        shards) are listed under ``unreachable``; the sums and ``ok``
+        cover the shards that answered, against what the router routed
+        to them, and ``complete`` is false while any shard is missing.
+        """
+        unreachable = [
+            shard for shard, one in enumerate(shard_stats) if "error" in one
+        ]
+        answered = [
+            (shard, one) for shard, one in enumerate(shard_stats)
+            if "error" not in one
+        ]
+        routed = sum(self.routed[shard] for shard, _ in answered)
         shard_arrivals = sum(
-            int(one.get("arrivals", 0) or 0) for one in shard_stats
+            int(one.get("arrivals", 0) or 0) for _, one in answered
         )
-        served = sum(int(one.get("served", 0) or 0) for one in shard_stats)
-        shed = sum(int(one.get("shed", 0) or 0) for one in shard_stats)
+        served = sum(int(one.get("served", 0) or 0) for _, one in answered)
+        shed = sum(int(one.get("shed", 0) or 0) for _, one in answered)
         settled = served + shed
         return {
             "router_arrivals": self.arrivals,
             "shard_arrivals": shard_arrivals,
             "settled": settled,
             "responses": self.responses,
+            "unreachable": unreachable,
             #: Arrival conservation holds at any instant.
-            "ok": shard_arrivals == self.arrivals
-            and settled <= shard_arrivals,
+            "ok": shard_arrivals == routed and settled <= shard_arrivals,
             #: True once drained: every arrival settled and answered.
-            "complete": shard_arrivals == self.arrivals
+            "complete": not unreachable
+            and shard_arrivals == self.arrivals
             and settled == shard_arrivals
             and self.responses == self.arrivals,
         }
@@ -428,14 +466,11 @@ class ShardRouter(JsonLinesFrontEnd):
         """Poll every shard's batch feedback and migrate on skew."""
         while True:
             await asyncio.sleep(self.rebalance_interval)
-            try:
-                shard_stats = await asyncio.gather(
-                    *(link.request({"op": "stats"}) for link in self.links)
-                )
-            except ConnectionError:
+            shard_stats = await self._poll_shards()
+            if any("error" in one for one in shard_stats):
                 continue
             self.rebalance_passes += 1
-            self._maybe_migrate(list(shard_stats))
+            self._maybe_migrate(shard_stats)
 
     def _maybe_migrate(self, shard_stats: List[dict]) -> None:
         """One rebalance pass over one batch-feedback window.

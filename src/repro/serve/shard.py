@@ -16,11 +16,18 @@ so an unrouted deployment is byte-identical to what PR 4-7 shipped.
 the existing ``python -m repro.serve serve`` entrypoint (with
 ``--shard-id/--of``), parses the listening banner for the ephemeral
 port, and drains it with SIGINT -- the same lifecycle a human operator
-or an init system would drive.
+or an init system would drive.  A shard never outlives the process that
+launched it: on Linux the launcher arms the kernel's parent-death
+signal (``PR_SET_PDEATHSIG``) in the child, so a router killed with
+SIGKILL -- which runs no cleanup of its own -- still takes its shards
+down (each gets SIGTERM, the same graceful drain as SIGINT).  A
+``serve`` started by hand is untouched: only :class:`ShardProcess`
+arms the signal.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue
 import re
@@ -38,6 +45,40 @@ from repro.rtdbs.config import SimulationConfig
 #: ``repro.serve: ... listening on 127.0.0.1:43211`` -- printed by
 #: ``serve`` (and ``route``) once the listener is bound.
 BANNER_PATTERN = re.compile(r"listening on ([\d.]+):(\d+)")
+
+
+#: ``prctl`` option: signal the calling process when its parent dies.
+PR_SET_PDEATHSIG = 1
+
+
+def _die_with_launcher():
+    """A ``preexec_fn`` that makes the child get SIGTERM when the
+    launching process dies, or ``None`` where the kernel offers no
+    parent-death signal.
+
+    ``prctl`` is looked up here, in the launcher; the child only calls
+    it.  If the launcher is already gone by the time the child arms
+    the signal, the child exits before ``exec``.  The kernel sends the
+    signal when the launching *thread* exits, so launch from a thread
+    that lives as long as the farm (``route`` launches from its main
+    thread).
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return None
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    launcher = os.getpid()
+
+    def arm() -> None:
+        prctl(PR_SET_PDEATHSIG, int(signal.SIGTERM))
+        if os.getppid() != launcher:
+            os._exit(1)
+
+    return arm
 
 
 def split_evenly(total: int, parts: int) -> List[int]:
@@ -162,6 +203,7 @@ class ShardProcess:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            preexec_fn=_die_with_launcher(),
         )
         shard = cls(shard_id=shard_id, of=of, process=process)
         shard._start_pump()

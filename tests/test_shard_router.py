@@ -1,10 +1,19 @@
 """The sharded serve layer: config slicing, the consistent-hash ring,
 router conservation over real TCP, rebalancer migration under forced
 skew, drain-through-router semantics, and refusals (dead shard link,
-over-limit request lines) that fail one request, not the link."""
+over-limit request lines) that fail one request, not the link, and
+shard processes that die with their router."""
 
 import asyncio
 import json
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +393,66 @@ def test_dead_shard_link_fails_fast():
     assert arrivals == 0
 
 
+def test_stats_and_drain_survive_a_dead_shard():
+    """One dead shard does not take the farm-wide view down with it:
+    ``stats`` answers with that shard as its own error entry and
+    conservation over the shards that answered (never ``complete``),
+    ``drain_stats()`` returns instead of raising, and submits for the
+    live shard are still served."""
+
+    async def scenario():
+        _, servers, router, (host, port) = await _start_farm(
+            rebalance_interval=0.0
+        )
+        try:
+            dead = router.place("tenant0")
+            live_tenant = next(
+                tenant
+                for tenant in (f"tenant{k}" for k in range(1, 64))
+                if router.place(tenant) != dead
+            )
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=LINE_LIMIT
+            )
+            try:
+                before = await _request(writer, reader, _submit(live_tenant))
+                await servers[dead].close()
+                link = router.links[dead]
+                for _ in range(500):  # until the link's reader sees the EOF
+                    if link._reader_task.done():
+                        break
+                    await asyncio.sleep(0.01)
+                stats = await asyncio.wait_for(
+                    _request(writer, reader, {"op": "stats"}), timeout=10.0
+                )
+                after = await asyncio.wait_for(
+                    _request(writer, reader, _submit(live_tenant)), timeout=30.0
+                )
+            finally:
+                writer.close()
+            drained = await asyncio.wait_for(router.drain_stats(), timeout=30.0)
+            return dead, before, stats, after, drained
+        finally:
+            await _stop_farm(servers, router)
+
+    dead, before, stats, after, drained = asyncio.run(scenario())
+    live = 1 - dead
+    assert "error" not in before and "error" not in after, (before, after)
+    assert after["shard"] == live
+    for view in (stats, drained):
+        assert "error" not in view, view
+        assert "shard unreachable" in view["shards"][dead]["error"]
+        assert view["shards"][dead]["shard"] == dead
+        assert "error" not in view["shards"][live]
+        conservation = view["conservation"]
+        assert conservation["unreachable"] == [dead]
+        assert conservation["ok"], conservation
+        assert not conservation["complete"], conservation
+    # The live shard's own count is in the aggregate, the dead one's not.
+    assert drained["aggregate"]["arrivals"] == drained["shards"][live]["arrivals"] == 2
+    assert drained["conservation"]["settled"] == 2
+
+
 def test_over_limit_submit_is_refused_without_killing_the_link():
     """A 100 KB submit gets one structured error from the router, which
     reads requests under the same limit as its shards.  Forwarded, it
@@ -495,3 +564,123 @@ def test_sharded_shootout_requires_tenants():
 
     with pytest.raises(ValueError, match="tenants"):
         live_shootout(policies=("max",), shards=2, time_scale=0.01)
+
+
+# ----------------------------------------------------------------------
+# shard subprocesses die with their router
+# ----------------------------------------------------------------------
+def _children(pid):
+    """Live child pids of ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        stat = _stat(int(entry)) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid and stat[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _stat(pid):
+    """``(state, ppid)`` of ``pid``, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"  # a zombie has exited
+
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="reads /proc; the parent-death signal is Linux-only",
+)
+
+
+def _launch_route():
+    """The ``route`` CLI over two shard subprocesses, once it listens;
+    returns ``(process, output line queue, shard pids)``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    router = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "route", "--shards", "2",
+         "--tenants", "2", "--port", "0", "--time-scale", "0.02"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    lines = queue.Queue()
+
+    def pump():
+        for line in router.stdout:
+            lines.put(line)
+        lines.put(None)
+
+    threading.Thread(target=pump, daemon=True).start()
+    deadline = time.monotonic() + 120.0
+    try:
+        while True:
+            line = lines.get(timeout=max(0.1, deadline - time.monotonic()))
+            assert line is not None, "route exited before listening"
+            if "router" in line and "listening on" in line:
+                return router, lines, _children(router.pid)
+    except BaseException:
+        router.kill()  # its shards follow it (parent-death signal)
+        router.wait()
+        raise
+
+
+def _reap(router, shards):
+    if router.poll() is None:
+        router.kill()
+        router.wait()
+    for pid in shards:
+        if _alive(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+@linux_only
+def test_sigkilled_router_takes_its_shard_processes_down():
+    """SIGKILL runs no cleanup in the router, so its shards must go by
+    themselves: within a bounded wait no shard process is left."""
+    router, _lines, shards = _launch_route()
+    try:
+        assert len(shards) == 2, shards
+        router.kill()
+        router.wait(timeout=10.0)
+        deadline = time.monotonic() + 30.0
+        while any(_alive(pid) for pid in shards) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in shards if _alive(pid)]
+    finally:
+        _reap(router, shards)
+
+
+@linux_only
+def test_route_drain_with_a_dead_shard_reports_violation():
+    """A shard killed under the ``route`` CLI: the SIGINT drain still
+    ends in a conservation verdict -- ``VIOLATED``, exit non-zero --
+    not in a traceback."""
+    router, lines, shards = _launch_route()
+    try:
+        assert len(shards) == 2, shards
+        os.kill(shards[0], signal.SIGKILL)
+        router.send_signal(signal.SIGINT)
+        router.wait(timeout=60.0)
+        output = []
+        while (line := lines.get(timeout=10.0)) is not None:
+            output.append(line)
+        output = "".join(output)
+    finally:
+        _reap(router, shards)
+    assert router.returncode != 0, output
+    assert "conservation VIOLATED" in output, output
+    assert "'unreachable': [0]" in output, output
+    assert "Traceback" not in output, output
