@@ -619,8 +619,9 @@ def _launch_route():
     lines = queue.Queue()
 
     def pump():
-        for line in router.stdout:
-            lines.put(line)
+        with router.stdout:
+            for line in router.stdout:
+                lines.put(line)
         lines.put(None)
 
     threading.Thread(target=pump, daemon=True).start()
